@@ -1,4 +1,4 @@
-"""Microbenchmark: span tracing overhead on the disabled path.
+"""Microbenchmark: span tracing overhead on the disabled and traced paths.
 
 The satellite contract for the tracing subsystem is that a deployment
 running with tracing off (``REPRO_TRACE_SAMPLE=0`` → :class:`NullTracer`)
@@ -7,6 +7,10 @@ fig16-style replay loop within a couple percent of fully untraced code.
 Wall-clock asserts on shared CI boxes are noisy, so the hard assert is
 generous (25%) while the printed ratio is what a human (or perf
 regression sweep) reads against the < 2% design target.
+
+The traced path has a scaling gate instead: a start/finish pair must cost
+the same whatever the ring-buffer capacity, because finishing a span
+reaches its parent through a direct reference rather than a buffer scan.
 """
 
 import time
@@ -78,3 +82,34 @@ def test_null_tracer_allocates_nothing_per_span():
     assert spans == {id(NULL_SPAN)}  # one shared singleton, zero allocation
     children = {id(tracer.start_span("c", 0.0, NULL_SPAN)) for _ in range(100)}
     assert children == {id(NULL_SPAN)}
+
+
+def _lookup_pairs_wall(capacity, lookups=2000, runs=5):
+    """Best-of-*runs* wall time of *lookups* two-span traced lookups.
+
+    The buffer is filled to capacity first, so any per-finish scan of it
+    would cost its full length on every root.
+    """
+    tracer = Tracer(capacity=capacity, sample=1.0, seed=0)
+    for i in range(capacity):
+        tracer.finish(tracer.start_trace("warm", float(i)), float(i))
+    best = float("inf")
+    for _ in range(runs):
+        started = time.perf_counter()
+        for i in range(lookups):
+            root = tracer.start_trace("lookup", float(i))
+            tracer.finish(tracer.start_span("dht.route", float(i), root), float(i))
+            tracer.finish(root, float(i))
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_traced_span_cost_independent_of_capacity():
+    small = _lookup_pairs_wall(16)
+    large = _lookup_pairs_wall(4096)
+    print(f"\ntraced two-span lookup: {small / 2000 * 1e6:.1f} us at capacity 16, "
+          f"{large / 2000 * 1e6:.1f} us at capacity 4096")
+    assert large <= 2.0 * small, (
+        f"traced span cost grows with buffer capacity: {large:.4f}s at 4096 "
+        f"vs {small:.4f}s at 16"
+    )

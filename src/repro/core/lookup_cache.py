@@ -171,6 +171,10 @@ class LookupCache:
         self._ring = ring
         self._entries: List[CacheEntry] = []  # sorted by hi
         self._his: List[int] = []
+        # Probe index (see _find): wrapped and full-ring arcs (lo >= hi),
+        # and an upper bound on the length of every other arc.
+        self._wrapped: List[CacheEntry] = []
+        self._max_arc = 0
         self.stats = LookupCacheStats()
         self._shared = LookupCacheStats(registry) if registry is not None else None
         self._tracer = tracer
@@ -244,6 +248,7 @@ class LookupCache:
         entry = CacheEntry(lo, hi, node, now + self.ttl, version)
         index = bisect.bisect_left(self._his, hi)
         if index < len(self._his) and self._his[index] == hi:
+            self._unindex(self._entries[index])
             self._entries[index] = entry
         else:
             if self.capacity is not None and len(self._entries) >= self.capacity:
@@ -251,6 +256,10 @@ class LookupCache:
                 index = bisect.bisect_left(self._his, hi)
             self._his.insert(index, hi)
             self._entries.insert(index, entry)
+        if lo >= hi:
+            self._wrapped.append(entry)
+        elif hi - lo > self._max_arc:
+            self._max_arc = hi - lo
         self._count("inserts")
 
     def _evict_for_capacity(self) -> None:
@@ -281,21 +290,43 @@ class LookupCache:
     def _find(self, key: int) -> Optional[CacheEntry]:
         """Freshest entry covering *key*, expired or not.
 
-        Overlaps are transient (a few entries after churn), but a covering
-        entry can sit at any index once arcs overlap or wrap, so all
-        candidates are scanned and the latest ``expires_at`` wins — live
-        entries therefore always beat expired ones.
+        The latest ``expires_at`` wins (so live entries always beat
+        expired ones) and the lowest range end breaks ties.  A plain arc
+        ``(lo, hi]`` covering *key* has ``key <= hi < key + _max_arc``, so
+        only that slice of the sorted range ends is scanned; wrapped and
+        full-ring arcs are checked from their side list.
         """
         best: Optional[CacheEntry] = None
-        for entry in self._entries:
-            if entry.covers(key) and (best is None or entry.expires_at > best.expires_at):
+        his, entries = self._his, self._entries
+        index = bisect.bisect_left(his, key)
+        stop = key + self._max_arc
+        end = len(his)
+        while index < end and his[index] < stop:
+            entry = entries[index]
+            # hi >= key here, so lo < key means lo < key <= hi; wrapped
+            # and full-ring arcs never pass (their lo >= hi >= key).
+            if entry.lo < key and (best is None or entry.expires_at > best.expires_at):
+                best = entry
+            index += 1
+        for entry in self._wrapped:
+            if entry.covers(key) and (
+                best is None
+                or entry.expires_at > best.expires_at
+                or (entry.expires_at == best.expires_at and entry.hi < best.hi)
+            ):
                 best = entry
         return best
 
+    def _unindex(self, entry: CacheEntry) -> None:
+        # _max_arc stays an upper bound; _drop_expired tightens it.
+        if entry.lo >= entry.hi:
+            self._wrapped = [e for e in self._wrapped if e is not entry]
+
     def _remove_entry(self, entry: CacheEntry) -> None:
-        index = self._entries.index(entry)
+        index = bisect.bisect_left(self._his, entry.hi)
         del self._entries[index]
         del self._his[index]
+        self._unindex(entry)
 
     def _drop_expired(self, now: float) -> None:
         live = [(h, e) for h, e in zip(self._his, self._entries) if e.expires_at > now]
@@ -304,6 +335,10 @@ class LookupCache:
             self._count("evictions", dropped)
             self._his = [h for h, _ in live]
             self._entries = [e for _, e in live]
+            self._wrapped = [e for e in self._entries if e.lo >= e.hi]
+            self._max_arc = max(
+                (e.hi - e.lo for e in self._entries if e.lo < e.hi), default=0
+            )
 
     def entries(self) -> Tuple[CacheEntry, ...]:
         return tuple(self._entries)

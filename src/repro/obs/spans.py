@@ -59,7 +59,7 @@ class Span:
     """One named interval of simulated time within a trace tree."""
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end",
-                 "attrs", "_max_child_end")
+                 "attrs", "_max_child_end", "_parent")
 
     sampled = True
 
@@ -75,6 +75,10 @@ class Span:
         # Latest finish time among direct children; lets a context-managed
         # parent auto-close to the moment its subtree went quiet.
         self._max_child_end: Optional[float] = None
+        # The parent this span's finish bubbles to (set by
+        # Tracer.start_span); Tracer.finish clears it, so finished spans
+        # never pin their ancestors in memory.
+        self._parent: Optional[Span] = None
 
     def annotate(self, **attrs: object) -> "Span":
         self.attrs.update(attrs)
@@ -260,6 +264,7 @@ class Tracer:
             return NULL_SPAN
         span = Span(parent.trace_id, self._next_id("s"), parent.span_id,
                     name, start, **attrs)
+        span._parent = parent
         return self._record(span)
 
     def finish(self, span: SpanLike, end: float) -> SpanLike:
@@ -275,13 +280,14 @@ class Tracer:
         return span
 
     def _bubble(self, span: Span) -> None:
-        # The buffer is small and append-ordered; the parent of a
-        # just-finished span is almost always within the last few entries.
-        for candidate in reversed(self._buffer):
-            if candidate.span_id == span.parent_id:
-                if candidate._max_child_end is None or span.end > candidate._max_child_end:
-                    candidate._max_child_end = span.end
-                return
+        # O(1) through the direct reference, whether or not the parent is
+        # still buffered (it may have rotated out or been drained).
+        parent = span._parent
+        if parent is None:
+            return
+        span._parent = None
+        if parent._max_child_end is None or span.end > parent._max_child_end:
+            parent._max_child_end = span.end
 
     @contextmanager
     def span(self, name: str, start: float, parent: Optional[SpanLike] = None,
@@ -330,12 +336,11 @@ class Tracer:
     def drain(self) -> List[Dict[str, object]]:
         """Pop all *finished* buffered spans as JSON-safe dicts.
 
-        Open spans stay buffered (their parents may still bubble child
-        finish times); cumulative counts and totals are untouched, so
-        repeated drains see every finished span exactly once.  This is the
-        streaming-export primitive: a long run drains to a
-        :class:`repro.obs.stream.JsonlWriter` every window, keeping the
-        tracer's memory footprint independent of run length.
+        Open spans stay buffered until they finish; cumulative counts and
+        totals are untouched, so repeated drains see every finished span
+        exactly once.  This is the streaming-export primitive: a long run
+        drains to a :class:`repro.obs.stream.JsonlWriter` every window,
+        keeping the tracer's memory footprint independent of run length.
         """
         finished = [s for s in self._buffer if s.end is not None]
         if finished:

@@ -34,6 +34,8 @@ import os
 import pickle
 from typing import Any, Mapping, Optional, Tuple
 
+from repro.obs.spans import DEFAULT_SAMPLE, SAMPLE_ENV, sample_rate_from_env
+
 #: Environment variable naming the cache root directory.
 CACHE_ENV = "REPRO_RUN_CACHE"
 
@@ -60,21 +62,22 @@ SCHEMA_VERSION = 3
 #: ``$REPRO_TRACE_SAMPLE`` reaches cells through ``Tracer.from_env``
 #: (Deployment construction) and decides which spans land in
 #: ``result.trace`` — two runs with different sample rates must not
-#: share an entry.  Variables that are unset (or empty) are omitted, so
-#: default-environment keys are byte-identical to the pre-fingerprint
-#: scheme and existing caches stay warm.  The flow linter's CACHE001
-#: pass cross-checks this list against the env reads actually reachable
-#: from cached cell bodies.
-AMBIENT_ENV_KEYS: Tuple[str, ...] = ("REPRO_TRACE_SAMPLE",)
+#: share an entry.  The fingerprint hashes the *effective* rate the
+#: program reads (:func:`repro.obs.spans.sample_rate_from_env`), not the
+#: raw string, and omits the default rate, so every spelling of the
+#: default (unset, ``""``, ``"1.0"``, an out-of-range or unparsable
+#: value) keeps the pre-fingerprint key and existing caches stay warm.
+#: The flow linter's CACHE001 pass cross-checks this list against the
+#: env reads actually reachable from cached cell bodies.
+AMBIENT_ENV_KEYS: Tuple[str, ...] = (SAMPLE_ENV,)
 
 
 def ambient_fingerprint() -> Tuple[Tuple[str, str], ...]:
-    """The (name, value) pairs of set ambient env vars, fingerprint-ready."""
-    return tuple(
-        (name, os.environ[name])
-        for name in AMBIENT_ENV_KEYS
-        if os.environ.get(name)
-    )
+    """The (name, effective value) pairs of non-default ambient env vars."""
+    rate = sample_rate_from_env()
+    if rate == DEFAULT_SAMPLE:
+        return ()
+    return ((SAMPLE_ENV, repr(rate)),)
 
 
 def cache_key(kind: str, params: Mapping[str, Any]) -> str:
@@ -82,8 +85,9 @@ def cache_key(kind: str, params: Mapping[str, Any]) -> str:
 
     Parameter order does not matter; values must have deterministic
     ``repr`` (ints, floats, strings, bools, tuples thereof — what the cell
-    builders use).  Set ambient env vars (:data:`AMBIENT_ENV_KEYS`) are
-    appended so environment-shaped results address distinct entries.
+    builders use).  Non-default ambient settings
+    (:func:`ambient_fingerprint`) are appended so environment-shaped
+    results address distinct entries.
     """
     canonical: Tuple[Any, ...] = (
         SCHEMA_VERSION, kind, tuple(sorted(params.items()))

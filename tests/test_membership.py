@@ -297,3 +297,46 @@ class TestTraceAndStorm:
         sim.run(until=7200.0)
         assert len(ring) == 4
         assert membership.metrics.counter("membership.refused").value > 0
+
+
+class TestRepairDeficitSeries:
+    def test_pushed_deficit_equals_distinct_keys_in_flight(self):
+        # Oracle for the incremental per-key job count: every repair.deficit
+        # sample pushed to the health bank must equal the distinct-key count
+        # of the in-flight jobs at that moment, through scheduling,
+        # completion, retries, requeues and losses.
+        from repro.core.system import build_deployment
+
+        deployment = build_deployment("d2", 10, seed=11)
+        for i in range(60):
+            deployment.store.write((i + 1) * 10**14, 8192)
+        deployment.stabilize()
+        deployment.enable_dynamic_membership(min_nodes=3)
+        deployment.enable_health_monitoring(window=30.0)
+        repair = deployment.repair
+        repair.bandwidth_bps = 2000.0  # ~4 s per block: crashes land mid-copy
+        pushed = []
+
+        class CheckedSeries:
+            def __init__(self, series):
+                self.series = series
+
+            def sample(self, time, value):
+                pushed.append((value, len({key for key, _ in repair._in_flight})))
+                return self.series.sample(time, value)
+
+        repair._deficit_series = CheckedSeries(repair._deficit_series)
+        # Crash one key's whole replica group first (losses), then two more.
+        group = deployment.ring.successors(30 * 10**14, deployment.store.replica_count)
+        victims = list(group) + [n for n in deployment.node_names if n not in group]
+        for step, victim in enumerate(victims[:5]):
+            deployment.advance_to(10.0 + 3.0 * step)
+            assert deployment.membership.crash(victim)
+        deployment.advance_to(4000.0)
+
+        stats = repair.stats
+        assert stats.completed and stats.retries and stats.requeued and stats.lost_keys
+        assert repair.backlog() == 0
+        assert len(pushed) >= 2 * stats.scheduled
+        assert max(expected for _, expected in pushed) > 1
+        assert all(value == expected for value, expected in pushed)

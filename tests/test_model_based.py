@@ -1,8 +1,11 @@
 """Model-based (stateful) tests: caches vs brute-force reference models."""
 
+import random
+
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.lookup_cache import LookupCache
 from repro.dht.keyspace import in_interval
@@ -11,6 +14,23 @@ from repro.fs.fslayer import BlockOp
 from repro.fs.writeback_cache import WritebackCache
 
 SMALL_KEYS = st.integers(min_value=0, max_value=999)
+# Mostly a crowded corner, so range ends collide, arcs share endpoints and
+# same-end replacements happen often.
+ARC_KEYS = st.integers(min_value=0, max_value=15) | SMALL_KEYS
+
+
+def linear_find(cache, key):
+    """Reference for ``LookupCache._find``: the original linear scan.
+
+    Every entry is tested in range-end order and only a strictly later
+    ``expires_at`` replaces the incumbent, so the freshest covering entry
+    wins and the lowest range end breaks ties.
+    """
+    best = None
+    for entry in cache.entries():
+        if entry.covers(key) and (best is None or entry.expires_at > best.expires_at):
+            best = entry
+    return best
 
 
 class LookupCacheMachine(RuleBasedStateMachine):
@@ -20,7 +40,8 @@ class LookupCacheMachine(RuleBasedStateMachine):
     the cache may conservatively miss (e.g. overlapping ranges hide one
     another) but must never return a node the model does not list for the
     key — a wrong *positive* would send clients to arbitrary nodes far
-    more often than churn explains.
+    more often than churn explains.  The indexed probe must also pick the
+    very entry the linear reference scan picks.
     """
 
     def __init__(self):
@@ -29,16 +50,32 @@ class LookupCacheMachine(RuleBasedStateMachine):
         self.model = []  # list of (lo, hi, node, expires_at), newest last
         self.now = 0.0
 
-    @rule(lo=SMALL_KEYS, hi=SMALL_KEYS, node=st.sampled_from("abcdef"))
+    @initialize(capacity=st.sampled_from([None, 2, 5]))
+    def bound(self, capacity):
+        self.cache.capacity = capacity
+
+    @rule(lo=ARC_KEYS, hi=ARC_KEYS, node=st.sampled_from("abcdef"))
     def insert(self, lo, hi, node):
         self.cache.insert(lo, hi, node, self.now)
         self.model.append((lo, hi, node, self.now + 100.0))
+
+    @rule(at=ARC_KEYS, node=st.sampled_from("abcdef"))
+    def insert_full_ring(self, at, node):
+        self.insert(at, at, node)
 
     @rule(delta=st.floats(min_value=0.0, max_value=60.0))
     def advance(self, delta):
         self.now += delta
 
-    @rule(key=SMALL_KEYS)
+    @rule(key=ARC_KEYS)
+    def invalidate(self, key):
+        self.cache.invalidate(key, self.now)
+
+    @rule(key=ARC_KEYS)
+    def find_matches_reference(self, key):
+        assert self.cache._find(key) is linear_find(self.cache, key)
+
+    @rule(key=ARC_KEYS)
     def probe(self, key):
         got = self.cache.probe(key, self.now)
         if got is not None:
@@ -60,6 +97,39 @@ class LookupCacheMachine(RuleBasedStateMachine):
 
 TestLookupCacheModel = LookupCacheMachine.TestCase
 TestLookupCacheModel.settings = settings(max_examples=40, deadline=None)
+
+
+def test_find_at_longest_arc_boundary():
+    # The scan stops before ends >= key + longest arc; the longest arc
+    # itself must still be found at its first covered key.
+    cache = LookupCache(ttl=100.0)
+    cache.insert(0, 10, "long", 0.0)
+    cache.insert(10, 12, "short", 0.0)
+    assert cache._find(1).node == "long"
+    assert cache._find(11).node == "short"
+    assert cache._find(0) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_find_matches_linear_scan_under_random_ops(seed):
+    # A long seeded run per seed: many more same-end replacements, expiry
+    # sweeps and evictions than the stateful machine reaches.
+    rng = random.Random(seed)
+    cache = LookupCache(ttl=50.0, capacity=rng.choice([None, 4, 16]))
+    now = 0.0
+    for _ in range(1500):
+        roll = rng.random()
+        lo, hi = rng.randrange(64), rng.randrange(64)
+        if roll < 0.35:
+            cache.insert(lo, lo if roll < 0.03 else hi, "abc"[lo % 3], now)
+        elif roll < 0.45:
+            cache.invalidate(lo, now)
+        elif roll < 0.6:
+            cache.probe(lo, now)
+        elif roll < 0.7:
+            now += rng.choice([0.0, 5.0, 20.0])
+        key = rng.randrange(64)
+        assert cache._find(key) is linear_find(cache, key)
 
 
 class WritebackCacheMachine(RuleBasedStateMachine):

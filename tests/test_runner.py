@@ -110,6 +110,24 @@ class TestCacheKey:
         monkeypatch.setenv("REPRO_TRACE_SAMPLE", "")
         assert cache_key("k", dict(TINY_CELL)) == base
 
+    @pytest.mark.parametrize("raw", ["1", "1.0", "7", "junk"])
+    def test_default_rate_spellings_share_legacy_key(self, monkeypatch, raw):
+        # Every spelling the tracer reads as the default rate does the same
+        # work, so it must hit the same (legacy) entry as an unset variable.
+        monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
+        base = cache_key("k", dict(TINY_CELL))
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", raw)
+        assert cache_key("k", dict(TINY_CELL)) == base
+
+    def test_key_hashes_effective_rate(self, monkeypatch):
+        def key_for(raw):
+            monkeypatch.setenv("REPRO_TRACE_SAMPLE", raw)
+            return cache_key("k", dict(TINY_CELL))
+
+        assert key_for("0") == key_for("-1") == key_for("0.0")  # all clamp to 0
+        assert key_for("0.5") == key_for(" 0.50 ")
+        assert len({key_for("0"), key_for("0.5"), key_for("1")}) == 3
+
 
 class TestRunCache:
     def test_disabled_without_env(self):

@@ -120,6 +120,36 @@ class TestTracer:
             tracer.finish(child, 3.5)
         assert root.end == 3.5
 
+    def test_rotated_out_child_still_closes_its_root(self):
+        # capacity=1: the root and its first child rotate out of the buffer
+        # before the child finishes; the finish must still reach the root.
+        tracer = Tracer(capacity=1, sample=1.0)
+        with tracer.span("fetch", 1.0) as root:
+            first = tracer.start_span("lookup", 1.0, root)
+            second = tracer.start_span("transfer", 1.0, root)
+            assert tuple(tracer) == (second,)
+            tracer.finish(first, 3.0)
+            tracer.finish(second, 2.0)
+        assert root.end == 3.0
+
+    def test_child_finishing_after_drain_bubbles_to_open_parent(self):
+        tracer = Tracer(sample=1.0)
+        with tracer.span("fetch", 0.0) as root:
+            child = tracer.start_span("transfer", 0.0, root)
+            tracer.finish(tracer.start_trace("other", 0.0), 0.5)
+            assert [d["name"] for d in tracer.drain()] == ["other"]
+            tracer.finish(child, 4.0)
+        assert root.end == 4.0
+
+    def test_finished_child_holds_no_parent_reference(self):
+        tracer = Tracer(sample=1.0)
+        root = tracer.start_trace("fetch", 0.0)
+        child = tracer.start_span("lookup", 0.0, root)
+        assert child._parent is root
+        tracer.finish(child, 1.0)
+        assert child._parent is None
+        assert child.parent_id == root.span_id  # the exported link stays
+
     def test_context_manager_without_children_closes_at_start(self):
         tracer = Tracer(sample=1.0)
         with tracer.span("noop", 2.0) as root:
