@@ -7,6 +7,7 @@ the reproduction can scale.
 """
 
 import random
+import time
 
 from repro.core.keys import decode_key, encode_path_key, volume_id
 from repro.core.lookup_cache import LookupCache
@@ -100,6 +101,37 @@ def test_directory_range_queries(benchmark):
             directory.count_in_range(lo, hi)
 
     benchmark(query_many)
+
+
+def test_directory_refresh_after_burst():
+    """Gate: a query after a 1% mutation burst patches the sorted index.
+
+    Balancing probes query the directory between bursts of web-cache
+    inserts and evictions; merging the pending delta must cost well under
+    a full re-sort of the live keys (before: ~1x, i.e. a re-sort).
+    """
+    rng = random.Random(4)
+    directory = BlockDirectory()
+    live = [rng.randrange(KEY_SPACE) for _ in range(40_000)]
+    for key in live:
+        directory.put(key, 8192)
+    directory.count_in_range(0, 1)
+    refresh_best = sort_best = float("inf")
+    for _ in range(7):
+        for _ in range(200):
+            directory.discard(live.pop(rng.randrange(len(live))))
+            live.append(rng.randrange(KEY_SPACE))
+            directory.put(live[-1], 8192)
+        started = time.perf_counter()
+        directory.count_in_range(0, 1)
+        refresh_best = min(refresh_best, time.perf_counter() - started)
+        started = time.perf_counter()
+        sorted(directory.keys())
+        sort_best = min(sort_best, time.perf_counter() - started)
+    ratio = refresh_best / sort_best
+    print(f"\nindex refresh after a 1% burst: {refresh_best * 1e3:.2f} ms, "
+          f"full sort {sort_best * 1e3:.2f} ms ({ratio:.2f}x)")
+    assert ratio <= 1 / 3, f"index refresh costs {ratio:.2f}x a full re-sort"
 
 
 def test_lookup_cache_probe(benchmark):

@@ -8,14 +8,18 @@ each primary copy is tracked separately by
 (deferred migration) can be modelled exactly.
 
 The directory supports the range queries the load balancer needs — count,
-median, and byte volume over an arc ``(lo, hi]`` — via a lazily rebuilt
-sorted index, so bursts of writes between balancing rounds stay O(1) each.
+median, and byte volume over an arc ``(lo, hi]`` — via a sorted key index
+that is patched, not rebuilt, before each query.  Mutations stay O(1): they
+only record the keys added or removed since the last query, and the next
+query merges that delta into the index in O(N + d log N) for d pending
+mutations, instead of re-sorting all N keys.  Only a query against an
+empty index (the first after a bulk load) sorts the live keys outright.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.dht.keyspace import validate_key
 
@@ -30,7 +34,13 @@ class BlockDirectory:
     def __init__(self) -> None:
         self._sizes: Dict[int, int] = {}
         self._sorted: List[int] = []
-        self._dirty = False
+        # Pending delta since the last query: live keys the index lacks, and
+        # indexed keys no longer live.  A key added and removed (or removed
+        # and re-added) within one delta cancels out of both.  While the
+        # index is empty every live key is pending, so nothing is recorded:
+        # a bulk load never queried holds no second copy of its keys.
+        self._added: Set[int] = set()
+        self._removed: Set[int] = set()
         self.total_bytes = 0
 
     # ------------------------------------------------------------------
@@ -45,7 +55,7 @@ class BlockDirectory:
             raise BlockDirectoryError(f"block {key:#x} already present")
         self._sizes[key] = size
         self.total_bytes += size
-        self._dirty = True
+        self._mark_added(key)
 
     def put(self, key: int, size: int) -> int:
         """Upsert a block; returns the size delta (new - old)."""
@@ -55,7 +65,7 @@ class BlockDirectory:
         old = self._sizes.get(key)
         self._sizes[key] = size
         if old is None:
-            self._dirty = True
+            self._mark_added(key)
             self.total_bytes += size
             return size
         self.total_bytes += size - old
@@ -68,7 +78,7 @@ class BlockDirectory:
         except KeyError:
             raise BlockDirectoryError(f"block {key:#x} not present") from None
         self.total_bytes -= size
-        self._dirty = True
+        self._mark_removed(key)
         return size
 
     def discard(self, key: int) -> Optional[int]:
@@ -76,8 +86,20 @@ class BlockDirectory:
         size = self._sizes.pop(key, None)
         if size is not None:
             self.total_bytes -= size
-            self._dirty = True
+            self._mark_removed(key)
         return size
+
+    def _mark_added(self, key: int) -> None:
+        if key in self._removed:
+            self._removed.remove(key)  # still indexed: the removal cancels
+        elif self._sorted:
+            self._added.add(key)
+
+    def _mark_removed(self, key: int) -> None:
+        if key in self._added:
+            self._added.remove(key)  # never indexed: the add cancels
+        elif self._sorted:
+            self._removed.add(key)
 
     # ------------------------------------------------------------------
     # queries
@@ -98,9 +120,27 @@ class BlockDirectory:
         return iter(self._sizes)
 
     def _index(self) -> List[int]:
-        if self._dirty:
+        """The sorted live keys, with the pending delta merged in."""
+        if not self._sorted:
             self._sorted = sorted(self._sizes)
-            self._dirty = False
+            return self._sorted
+        if self._removed:
+            index = self._sorted
+            kept: List[int] = []
+            start = 0
+            for key in sorted(self._removed):
+                stop = bisect.bisect_left(index, key, start)
+                kept += index[start:stop]
+                start = stop + 1
+            kept += index[start:]
+            self._sorted = kept
+            self._removed.clear()
+        if self._added:
+            # Two sorted runs: list.sort() detects them and merges in
+            # O(N) moves plus O(d log N) comparisons.
+            self._sorted += sorted(self._added)
+            self._sorted.sort()
+            self._added.clear()
         return self._sorted
 
     def keys_in_range(self, lo: int, hi: int) -> List[int]:

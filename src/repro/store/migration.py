@@ -194,6 +194,10 @@ class StorageCoordinator:
         if self._expires_at.get(key) != deadline:
             return
         del self._expires_at[key]
+        self._retire(key)
+
+    def _retire(self, key: int) -> None:
+        """Drop *key* now and account it as a removal (no-op if absent)."""
         size = self.directory.discard(key)
         if size is not None:
             self.physical_at.pop(key, None)
@@ -216,32 +220,20 @@ class StorageCoordinator:
         """
         wait = self.removal_delay if delay is None else delay
         self._expires_at.pop(key, None)
-
-        def _discard() -> None:
-            size = self.directory.discard(key)
-            if size is not None:
-                self.physical_at.pop(key, None)
-                self.ledger.record_remove(self.sim.now, size)
-                self._c_removes.inc()
-                self._c_removed_bytes.inc(size)
-                if self._replica_tracker is not None:
-                    self._replica_tracker.forget(key)
-
         if wait <= 0:
             self._removes_at.pop(key, None)
-            _discard()
+            self._retire(key)
             return
 
         deadline = self.sim.now + wait
         self._removes_at[key] = deadline
+        self.sim.schedule(wait, lambda: self._remove_due(key, deadline))
 
-        def _expire() -> None:
-            if self._removes_at.get(key) != deadline:
-                return  # superseded by a re-write or a newer removal
-            del self._removes_at[key]
-            _discard()
-
-        self.sim.schedule(wait, _expire)
+    def _remove_due(self, key: int, deadline: float) -> None:
+        if self._removes_at.get(key) != deadline:
+            return  # superseded by a re-write or a newer removal
+        del self._removes_at[key]
+        self._retire(key)
 
     def holders(self, key: int) -> List[str]:
         """Replica group for *key*: its ``r`` distinct successors."""

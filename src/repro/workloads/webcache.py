@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.keys import (
     MAX_PATH_LEVELS,
+    compose_block_key,
     encode_path_key,
     hash_slot,
     version_hash,
@@ -54,24 +55,23 @@ class WebCacheKeyScheme:
         sizes = [BLOCK_SIZE] * (n_blocks - 1)
         sizes.append(size - BLOCK_SIZE * (n_blocks - 1) if size > 0 else 0)
         if self.system == "traditional":
+            prefix = f"{self.volume_name}|{url}|b"
+            suffix = f"|v{version}"
             return [
-                (hashed_key(f"{self.volume_name}|{url}|b{i}|v{version}"), sizes[i - 1])
+                (hashed_key(f"{prefix}{i}{suffix}"), sizes[i - 1])
                 for i in range(1, n_blocks + 1)
             ]
+        # Encode the volume/slot/remainder prefix once; per block only the
+        # trailing block-number field changes (as in KeyScheme.file_key_maker).
         components = url_components(url)
-        slots = [hash_slot(c) for c in components[:MAX_PATH_LEVELS]]
-        overflow = components[MAX_PATH_LEVELS:]
+        prefix_key = encode_path_key(
+            self.volume,
+            [hash_slot(c) for c in components[:MAX_PATH_LEVELS]],
+            overflow_components=components[MAX_PATH_LEVELS:],
+        )
+        version_field = version_hash(version)
         return [
-            (
-                encode_path_key(
-                    self.volume,
-                    slots,
-                    overflow_components=overflow,
-                    block_number=i,
-                    version=version_hash(version),
-                ),
-                sizes[i - 1],
-            )
+            (compose_block_key(prefix_key, i, version_field), sizes[i - 1])
             for i in range(1, n_blocks + 1)
         ]
 

@@ -1,5 +1,8 @@
 """Tests for the long-term load-balance experiments."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.balance import run_harvard_balance, run_webcache_balance
@@ -80,3 +83,53 @@ class TestWebcacheBalance:
     def test_unknown_system_rejected(self, web):
         with pytest.raises(ValueError):
             run_webcache_balance(web, "traditional-file", n_nodes=8)
+
+
+def rows_digest(rows):
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenBalanceRows:
+    """Pinned digests of tiny Fig 16, Fig 17 and Table 4 rows.
+
+    The balancing pipeline (directory range queries, web-cache keys,
+    removal paths, Karger-Ruhl moves) must keep every emitted row
+    byte-identical; a digest change means a result changed, not just its
+    speed.  Sizes match ``tests/test_experiments.py`` so the matrices are
+    shared through the in-process memo.
+    """
+
+    KW = dict(n_nodes=12, days=1.0, seed=21)
+
+    def test_fig16_rows(self):
+        from repro.experiments.fig16_imbalance_harvard import run_fig16, summarize_fig16
+
+        summary = summarize_fig16(users=3, **self.KW)
+        assert {r["system"]: r["moves"] for r in summary}["d2"] > 0
+        assert rows_digest(summary) == (
+            "6791650b2666102a469506bf1f2661280f8ae2fa347d8b4d5be8a70a5db7b188"
+        )
+        assert rows_digest(run_fig16(users=3, **self.KW)) == (
+            "8255fb5bf033d3934a2888fb28f22558e10278baf08a8a659809d1773317adb5"
+        )
+
+    def test_fig17_rows(self):
+        from repro.experiments.fig17_imbalance_webcache import run_fig17, summarize_fig17
+
+        summary = summarize_fig17(**self.KW)
+        assert {r["system"]: r["moves"] for r in summary}["d2"] > 0
+        assert rows_digest(summary) == (
+            "4dd5dcd4c77d2d0b1404013f0d707357353a4e9339c69bd639329998e6ab385e"
+        )
+        assert rows_digest(run_fig17(**self.KW)) == (
+            "9607662eaebcb6e5431a0d517320b470c432b37fb567c29bc4a6dc26f77011bf"
+        )
+
+    def test_table4_rows(self):
+        from repro.experiments.table4_overhead import run_table4
+
+        rows = run_table4(users=3, **self.KW)
+        assert sum(r["L_mb_per_node"] for r in rows if r["day"] == "total L/W") > 0
+        assert rows_digest(rows) == (
+            "0fe4047d524694883ea638be055d6313510fc80632337aa49fb7ff6b4dbb7759"
+        )

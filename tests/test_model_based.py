@@ -1,4 +1,5 @@
-"""Model-based (stateful) tests: caches vs brute-force reference models."""
+"""Model-based (stateful) tests: caches and the block directory vs
+brute-force reference models."""
 
 import random
 
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.lookup_cache import LookupCache
-from repro.dht.keyspace import in_interval
+from repro.dht.keyspace import KEY_SPACE, in_interval
 from repro.fs.blocks import BlockKind
 from repro.fs.fslayer import BlockOp
 from repro.fs.writeback_cache import WritebackCache
+from repro.store.block_store import BlockDirectory, BlockDirectoryError
 
 SMALL_KEYS = st.integers(min_value=0, max_value=999)
 # Mostly a crowded corner, so range ends collide, arcs share endpoints and
@@ -204,34 +206,113 @@ TestWritebackCacheModel = WritebackCacheMachine.TestCase
 TestWritebackCacheModel.settings = settings(max_examples=40, deadline=None)
 
 
+def model_arc(model, lo, hi):
+    """Reference for ``keys_in_range``: the model's keys in ``(lo, hi]``
+    (the full ring when ``lo == hi``), clockwise from just after *lo*."""
+    keys = [k for k in model if lo == hi or in_interval(k, lo, hi)]
+    return sorted(keys, key=lambda k: (k - lo - 1) % KEY_SPACE)
+
+
+def model_median(model, lo, hi):
+    keys = model_arc(model, lo, hi)
+    if len(keys) < 2 or keys[(len(keys) - 1) // 2] == hi:
+        return None
+    return keys[(len(keys) - 1) // 2]
+
+
+# One step of a mutation burst: which operation, on which key, what size.
+# Keys crowd a corner so one burst often touches a key twice.
+BURST_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "discard", "add", "remove", "flip"]),
+        ARC_KEYS,
+        st.integers(min_value=0, max_value=8192),
+    ),
+    max_size=12,
+)
+
+
 class RingDirectoryMachine(RuleBasedStateMachine):
     """Block directory range queries must match a brute-force set under
-    interleaved adds, removes, and queries."""
+    interleaved adds, removes, and queries.
+
+    Mutations between two queries form one pending delta of the index, so
+    the burst and flip rules put same-key add/remove pairs in one delta.
+    """
 
     def __init__(self):
         super().__init__()
-        from repro.store.block_store import BlockDirectory
-
         self.directory = BlockDirectory()
         self.model = {}
 
     @rule(key=SMALL_KEYS, size=st.integers(min_value=0, max_value=8192))
     def put(self, key, size):
-        self.directory.put(key, size)
+        assert self.directory.put(key, size) == size - self.model.get(key, 0)
         self.model[key] = size
 
     @rule(key=SMALL_KEYS)
     def discard(self, key):
-        self.directory.discard(key)
-        self.model.pop(key, None)
+        assert self.directory.discard(key) == self.model.pop(key, None)
+
+    @rule(key=SMALL_KEYS, size=st.integers(min_value=-2, max_value=8192))
+    def add(self, key, size):
+        if size < 0 or key in self.model:
+            with pytest.raises(BlockDirectoryError):
+                self.directory.add(key, size)
+            return
+        self.directory.add(key, size)
+        self.model[key] = size
+
+    @rule(key=SMALL_KEYS)
+    def remove(self, key):
+        if key not in self.model:
+            with pytest.raises(BlockDirectoryError):
+                self.directory.remove(key)
+            return
+        assert self.directory.remove(key) == self.model.pop(key)
+
+    @rule(key=SMALL_KEYS, size=st.integers(min_value=0, max_value=8192))
+    def flip(self, key, size):
+        """Remove-then-re-add a live key, or add-then-remove a dead one."""
+        if key in self.model:
+            self.remove(key)
+            self.add(key, size)
+        else:
+            self.add(key, size)
+            self.remove(key)
+
+    @rule(ops=BURST_OPS)
+    def burst(self, ops):
+        for op, key, size in ops:
+            if op in ("put", "add", "flip"):
+                getattr(self, op)(key, size)
+            else:
+                getattr(self, op)(key)
 
     @rule(lo=SMALL_KEYS, hi=SMALL_KEYS)
     def range_query(self, lo, hi):
-        got = sorted(self.directory.keys_in_range(lo, hi))
-        expected = sorted(
-            k for k in self.model if lo == hi or in_interval(k, lo, hi)
+        assert self.directory.keys_in_range(lo, hi) == model_arc(self.model, lo, hi)
+
+    @rule(at=SMALL_KEYS)
+    def full_ring_query(self, at):
+        self.range_query(at, at)
+        assert self.directory.count_in_range(at, at) == len(self.model)
+
+    @rule(lo=SMALL_KEYS, hi=SMALL_KEYS)
+    def count_query(self, lo, hi):
+        assert self.directory.count_in_range(lo, hi) == len(model_arc(self.model, lo, hi))
+
+    @rule(lo=SMALL_KEYS, hi=SMALL_KEYS)
+    def median_query(self, lo, hi):
+        assert self.directory.median_key_in_range(lo, hi) == model_median(
+            self.model, lo, hi
         )
-        assert got == expected
+
+    @rule(lo=SMALL_KEYS, hi=SMALL_KEYS)
+    def bytes_query(self, lo, hi):
+        assert self.directory.bytes_in_range(lo, hi) == sum(
+            self.model[k] for k in model_arc(self.model, lo, hi)
+        )
 
     @invariant()
     def totals_match(self):
@@ -241,3 +322,41 @@ class RingDirectoryMachine(RuleBasedStateMachine):
 
 TestRingDirectoryModel = RingDirectoryMachine.TestCase
 TestRingDirectoryModel.settings = settings(max_examples=40, deadline=None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_directory_index_matches_sorted_model(seed):
+    # Random 512-bit keys; recently removed keys are re-added often, so
+    # deltas of every length hold same-key add/remove pairs.
+    rng = random.Random(seed)
+    directory = BlockDirectory()
+    model = {}
+    graveyard = []
+    for _ in range(2000):
+        roll = rng.random()
+        if roll < 0.45:
+            key = graveyard.pop() if graveyard and rng.random() < 0.5 else rng.randrange(KEY_SPACE)
+            size = rng.randrange(8192)
+            if rng.random() < 0.5:
+                directory.add(key, size)
+            else:
+                directory.put(key, size)
+            model[key] = size
+        elif roll < 0.8 and model:
+            key = rng.choice(list(model))
+            if rng.random() < 0.5:
+                assert directory.remove(key) == model.pop(key)
+            else:
+                assert directory.discard(key) == model.pop(key)
+            graveyard.append(key)
+        elif roll < 0.9 and model:
+            key = rng.choice(list(model))
+            model[key] = rng.randrange(8192)
+            directory.put(key, model[key])
+        else:
+            # A query ends the delta: the patched index must equal a sort.
+            lo, hi = rng.randrange(KEY_SPACE), rng.randrange(KEY_SPACE)
+            assert directory.count_in_range(lo, hi) == len(model_arc(model, lo, hi))
+            assert directory._index() == sorted(model)
+    assert directory._index() == sorted(model)
+    assert directory.total_bytes == sum(model.values())

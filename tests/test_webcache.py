@@ -1,9 +1,12 @@
 """Tests for the Squirrel-style web-cache workload machinery."""
 
+import itertools
 import random
 
 import pytest
 
+from repro.core.keys import MAX_PATH_LEVELS, encode_path_key, hash_slot, version_hash
+from repro.dht.consistent_hashing import hashed_key
 from repro.fs.blocks import BLOCK_SIZE
 from repro.workloads.webcache import (
     EVICTION_AGE,
@@ -72,6 +75,48 @@ class TestKeyScheme:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             WebCacheKeyScheme("chord")
+
+
+def per_block_keys(scheme, url, size, version):
+    """Reference for ``block_keys``: every block's key encoded from scratch."""
+    n_blocks = max(1, -(-size // BLOCK_SIZE))
+    sizes = [BLOCK_SIZE] * (n_blocks - 1)
+    sizes.append(size - BLOCK_SIZE * (n_blocks - 1) if size > 0 else 0)
+    if scheme.system == "traditional":
+        return [
+            (hashed_key(f"{scheme.volume_name}|{url}|b{i}|v{version}"), sizes[i - 1])
+            for i in range(1, n_blocks + 1)
+        ]
+    components = url_components(url)
+    slots = [hash_slot(c) for c in components[:MAX_PATH_LEVELS]]
+    overflow = components[MAX_PATH_LEVELS:]
+    return [
+        (
+            encode_path_key(
+                scheme.volume,
+                slots,
+                overflow_components=overflow,
+                block_number=i,
+                version=version_hash(version),
+            ),
+            sizes[i - 1],
+        )
+        for i in range(1, n_blocks + 1)
+    ]
+
+
+DEEP_URL = "/com.x.www/" + "/".join(f"d{i}" for i in range(MAX_PATH_LEVELS + 3))
+
+
+@pytest.mark.parametrize("system", ["d2", "traditional"])
+def test_block_keys_match_per_block_encoding(system):
+    scheme = WebCacheKeyScheme(system)
+    urls = ["/com.x.www/o", "/com.x.www/a/b/c.html", DEEP_URL]
+    sizes = [0, 1, BLOCK_SIZE, 3 * BLOCK_SIZE - 5, 40 * BLOCK_SIZE + 1]
+    for url, size, version in itertools.product(urls, sizes, [0, 1, 123_456_789]):
+        assert scheme.block_keys(url, size, version) == per_block_keys(
+            scheme, url, size, version
+        ), (url, size, version)
 
 
 class TestCacheStateMachine:
